@@ -21,15 +21,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 
 #include "wcq/detail.hpp"
-#include "wcq/handle.hpp"
 #include "wcq/mem.hpp"
-#include "wcq/options.hpp"
 #include "wcq/ring_entry.hpp"
 #include "wcq/ring_math.hpp"
 #include "wcq/ring_policy.hpp"
+#include "wcq/two_ring.hpp"
 
 namespace wcq {
 
@@ -175,70 +173,7 @@ class CcqRing {
 };
 
 // CCQ as a bounded MPMC queue of 64-bit values: the two-ring
-// construction (indexes-only rings + data array), as for SCQ.
-class CcqQueue {
- public:
-  // Backend-internal configuration; the public surface is wcq::options.
-  struct Config {
-    unsigned order = 16;  // capacity = 2^order values
-    bool remap = true;
-    bool portable = false;  // __atomic CAS2 instead of cmpxchg16b
-  };
-
-  using Handle = TrivialHandle;
-
-  explicit CcqQueue(const Config& cfg)
-      : n_(std::uint64_t{1} << cfg.order),
-        aq_(cfg.order, cfg.remap, cfg.portable),
-        fq_(cfg.order, cfg.remap, cfg.portable) {
-    data_ = static_cast<std::atomic<std::uint64_t>*>(
-        mem::alloc(n_ * sizeof(std::atomic<std::uint64_t>)));
-    for (std::uint64_t i = 0; i < n_; ++i) {
-      data_[i].store(0, std::memory_order_relaxed);
-      aq_.enqueue_idx(i, CcqRing::kUnbounded);
-    }
-  }
-
-  explicit CcqQueue(const options& opt)
-      : CcqQueue(Config{opt.order(), opt.remap(), opt.portable()}) {}
-
-  ~CcqQueue() { mem::free(data_, n_ * sizeof(std::atomic<std::uint64_t>)); }
-
-  CcqQueue(const CcqQueue&) = delete;
-  CcqQueue& operator=(const CcqQueue&) = delete;
-
-  std::uint64_t capacity() const { return n_; }
-
-  Handle get_handle() { return Handle{}; }
-  std::optional<Handle> try_get_handle() { return Handle{}; }
-
-  // False iff the queue is full.
-  bool try_push(std::uint64_t v, Handle&) {
-    std::uint64_t idx = 0;
-    if (aq_.dequeue_idx(&idx, CcqRing::kUnbounded) == CcqRing::kEmpty) {
-      return false;  // no free slots: full
-    }
-    data_[idx].store(v, std::memory_order_relaxed);
-    fq_.enqueue_idx(idx, CcqRing::kUnbounded);
-    return true;
-  }
-
-  // False iff the queue is empty.
-  bool try_pop(std::uint64_t* v, Handle&) {
-    std::uint64_t idx = 0;
-    if (fq_.dequeue_idx(&idx, CcqRing::kUnbounded) == CcqRing::kEmpty) {
-      return false;
-    }
-    *v = data_[idx].load(std::memory_order_relaxed);
-    aq_.enqueue_idx(idx, CcqRing::kUnbounded);
-    return true;
-  }
-
- private:
-  const std::uint64_t n_;
-  CcqRing aq_;  // free slots (starts full)
-  CcqRing fq_;  // filled slots (starts empty)
-  std::atomic<std::uint64_t>* data_ = nullptr;
-};
+// construction (two_ring.hpp), as for SCQ.
+using CcqQueue = TwoRingQueue<CcqRing>;
 
 }  // namespace wcq

@@ -36,8 +36,8 @@ struct TrivialHandle {};
 /// Destruction calls Q::release_slot(slot), which quiesces the slot's
 /// SMR state and returns it to the registry, so — exactly like wCQ's
 /// ThreadRec handles — max_threads bounds *concurrent* participants.
-/// A handle must not outlive its queue. MSQ, FAA, and LCRQ all use
-/// this one template instead of hand-rolling three identical handles.
+/// A handle must not outlive its queue. MSQ, FAA, and the segment
+/// list (LCRQ, LSCQ) all use this one template.
 template <typename Q>
 class RegistryHandle {
  public:

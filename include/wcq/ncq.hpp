@@ -23,15 +23,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 
 #include "wcq/detail.hpp"
-#include "wcq/handle.hpp"
 #include "wcq/mem.hpp"
-#include "wcq/options.hpp"
 #include "wcq/ring_entry.hpp"
 #include "wcq/ring_math.hpp"
 #include "wcq/ring_policy.hpp"
+#include "wcq/two_ring.hpp"
 
 namespace wcq {
 
@@ -45,7 +43,9 @@ class NcqRing {
 
   static constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
 
-  NcqRing(unsigned order, bool remap)
+  // NCQ has no CAS2 and no consume to make portable; the flag is
+  // accepted so every ring builds from the same triple.
+  NcqRing(unsigned order, bool remap, bool /*portable*/)
       : geo_(order),
         remap_(remap ? ring::Remap::cache(geo_, kLineBits)
                      : ring::Remap::identity(geo_)),
@@ -145,70 +145,8 @@ class NcqRing {
   alignas(detail::kNoFalseSharing) ring::PlainEntry* entries_ = nullptr;
 };
 
-// NCQ as a bounded MPMC queue of 64-bit values: the same two-ring
-// construction as ScqQueue, over naive rings.
-class NcqQueue {
- public:
-  // Backend-internal configuration; the public surface is wcq::options.
-  struct Config {
-    unsigned order = 16;  // capacity = 2^order values
-    bool remap = true;
-  };
-
-  using Handle = TrivialHandle;
-
-  explicit NcqQueue(const Config& cfg)
-      : n_(std::uint64_t{1} << cfg.order),
-        aq_(cfg.order, cfg.remap),
-        fq_(cfg.order, cfg.remap) {
-    data_ = static_cast<std::atomic<std::uint64_t>*>(
-        mem::alloc(n_ * sizeof(std::atomic<std::uint64_t>)));
-    for (std::uint64_t i = 0; i < n_; ++i) {
-      data_[i].store(0, std::memory_order_relaxed);
-      aq_.enqueue_idx(i, NcqRing::kUnbounded);
-    }
-  }
-
-  explicit NcqQueue(const options& opt)
-      : NcqQueue(Config{opt.order(), opt.remap()}) {}
-
-  ~NcqQueue() { mem::free(data_, n_ * sizeof(std::atomic<std::uint64_t>)); }
-
-  NcqQueue(const NcqQueue&) = delete;
-  NcqQueue& operator=(const NcqQueue&) = delete;
-
-  std::uint64_t capacity() const { return n_; }
-
-  Handle get_handle() { return Handle{}; }
-  std::optional<Handle> try_get_handle() { return Handle{}; }
-
-  // False iff the queue is full.
-  bool try_push(std::uint64_t v, Handle&) {
-    std::uint64_t idx = 0;
-    if (aq_.dequeue_idx(&idx, NcqRing::kUnbounded) == NcqRing::kEmpty) {
-      return false;  // no free slots: full
-    }
-    data_[idx].store(v, std::memory_order_relaxed);
-    fq_.enqueue_idx(idx, NcqRing::kUnbounded);
-    return true;
-  }
-
-  // False iff the queue is empty.
-  bool try_pop(std::uint64_t* v, Handle&) {
-    std::uint64_t idx = 0;
-    if (fq_.dequeue_idx(&idx, NcqRing::kUnbounded) == NcqRing::kEmpty) {
-      return false;
-    }
-    *v = data_[idx].load(std::memory_order_relaxed);
-    aq_.enqueue_idx(idx, NcqRing::kUnbounded);
-    return true;
-  }
-
- private:
-  const std::uint64_t n_;
-  NcqRing aq_;  // free slots (starts full)
-  NcqRing fq_;  // filled slots (starts empty)
-  std::atomic<std::uint64_t>* data_ = nullptr;
-};
+// NCQ as a bounded MPMC queue of 64-bit values: the two-ring
+// construction (two_ring.hpp) over naive rings.
+using NcqQueue = TwoRingQueue<NcqRing>;
 
 }  // namespace wcq

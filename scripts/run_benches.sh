@@ -89,7 +89,7 @@ elif [ "$PRESET" = sharded ]; then
     -name 'bench_sharded_scaling' -perm -u+x)
 else
   benches=$(find "$BUILD_DIR" -maxdepth 1 -type f -name 'bench_*' \
-    ! -name 'bench_micro_ops' -perm -u+x | sort)
+    -perm -u+x | sort)
 fi
 if [ -z "$benches" ]; then
   echo "error: no bench_* binaries in '$BUILD_DIR'" >&2

@@ -10,6 +10,7 @@
 // the SAME pending request concurrently (no single-executor
 // serialization), with the operation still completing exactly once.
 #include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -215,8 +216,10 @@ void test_no_premature_empty(const char* name) {
 // help_request never takes ownership: both threads step the shared
 // ctl/note state machine, so both engage the same request concurrently
 // (each observes it pending and enters help_slow), and the commit
-// still happens exactly once. Repeated under a start barrier so both
-// sides demonstrably engage many times over the run.
+// still happens exactly once. Each round the helpers meet at a
+// two-party barrier once the request is published, so neither can
+// finish the request before the other has looked at it; without the
+// rendezvous a free-running helper can win every round.
 template <bool Portable>
 void test_two_helpers_one_request(const char* name) {
   using Access = WcqTestAccess<Portable>;
@@ -227,26 +230,29 @@ void test_two_helpers_one_request(const char* name) {
   auto h2 = q.get_handle();
 
   std::atomic<int> round_gate{0};
-  std::atomic<bool> run{true};
+  std::barrier<> rendezvous(2);
   std::atomic<std::uint64_t> engaged1{0};
   std::atomic<std::uint64_t> engaged2{0};
 
-  auto helper_loop = [&](std::atomic<std::uint64_t>& engaged, int id) {
-    int round = 0;
-    while (run.load(std::memory_order_acquire)) {
+  // Both helpers take part in every round, so the barrier's phases
+  // stay paired even when one helper's late help() finishes the next
+  // round's request on its own.
+  auto helper_loop = [&](std::atomic<std::uint64_t>& engaged) {
+    for (int round = 0; round < kRounds; ++round) {
       // Wait for this round's request to be published.
-      if (round_gate.load(std::memory_order_acquire) <= round) continue;
-      ++round;
+      while (round_gate.load(std::memory_order_acquire) <= round) {
+        std::this_thread::yield();
+      }
+      rendezvous.arrive_and_wait();
       // Drive the owner's pending request; help() returns true iff it
       // observed the request still in flight and stepped it.
       if (Access::help(q, owner)) {
         engaged.fetch_add(1, std::memory_order_relaxed);
       }
-      (void)id;
     }
   };
-  std::thread t1(helper_loop, std::ref(engaged1), 1);
-  std::thread t2(helper_loop, std::ref(engaged2), 2);
+  std::thread t1(helper_loop, std::ref(engaged1));
+  std::thread t2(helper_loop, std::ref(engaged2));
 
   auto seed = q.get_handle();
   for (int round = 0; round < kRounds; ++round) {
@@ -271,7 +277,6 @@ void test_two_helpers_one_request(const char* name) {
               "%s: round %d delivered %llu twice", name, round,
               (unsigned long long)residue);
   }
-  run.store(false, std::memory_order_release);
   t1.join();
   t2.join();
 
