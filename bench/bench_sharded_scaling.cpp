@@ -122,18 +122,11 @@ TimedWorkload<Q> pairwise_batch_workload(unsigned batch) {
   };
 }
 
+constexpr shard_policy kPickers[] = {shard_policy::round_robin,
+                                     shard_policy::sticky};
+
 const char* policy_tag(shard_policy p) {
-  switch (p) {
-    case shard_policy::round_robin:
-      return "rr";
-    case shard_policy::sticky:
-      return "sticky";
-    case shard_policy::load_aware:
-      return "load";
-    case shard_policy::sequenced:
-      return "seq";
-  }
-  return "?";
+  return p == shard_policy::sticky ? "sticky" : "rr";
 }
 
 // Open-loop phase: fixed offered rate, response time from scheduled
@@ -215,9 +208,7 @@ int main(int argc, char** argv) {
 
   // Sharded wCQ: shard count x picker sweep, single-op pairwise.
   for (const unsigned s : shards) {
-    for (const auto pol :
-         {shard_policy::round_robin, shard_policy::sticky,
-          shard_policy::load_aware}) {
+    for (const auto pol : kPickers) {
       const std::string name = "wCQ shard=" + std::to_string(s) + "/" +
                                policy_tag(pol);
       named_series_latency<ShardedWcq>(
@@ -229,14 +220,19 @@ int main(int argc, char** argv) {
   // Batch series: the amortization story. Over FAA the whole chunk is
   // one ticket burst; over wCQ it is one shard selection per chunk.
   for (const unsigned s : shards) {
-    named_series_latency<ShardedWcq>(
-        closed, "wCQ shard=" + std::to_string(s) + "/rr+batch",
-        pairwise_batch_workload<ShardedWcq>(batch), threads, ops, runs,
-        options{}.shards(s).batch_limit(batch));
-    named_series_latency<ShardedFaa>(
-        closed, "FAA shard=" + std::to_string(s) + "/rr+batch",
-        pairwise_batch_workload<ShardedFaa>(batch), threads, ops, runs,
-        options{}.shards(s).batch_limit(batch));
+    for (const auto pol : kPickers) {
+      const std::string tag = std::to_string(s) + "/" + policy_tag(pol);
+      const options opts =
+          options{}.shards(s).batch_limit(batch).shard_policy(pol);
+      named_series_latency<ShardedWcq>(
+          closed, "wCQ shard=" + tag + "+batch",
+          pairwise_batch_workload<ShardedWcq>(batch), threads, ops, runs,
+          opts);
+      named_series_latency<ShardedFaa>(
+          closed, "FAA shard=" + tag + "+batch",
+          pairwise_batch_workload<ShardedFaa>(batch), threads, ops, runs,
+          opts);
+    }
   }
 
   // ---- open-loop: offered-rate response times ----

@@ -17,16 +17,16 @@
 
 namespace wcq {
 
-/// How `wcq::sharded<T>` picks the shard an operation lands on.
-/// Ordering contract per picker is documented on wcq/sharded.hpp; all
-/// of them preserve per-shard FIFO, only `sequenced` restores a global
-/// order (by serializing the picker — test builds, not production).
+/// How `wcq::sharded<T>` picks the shard an operation lands on. A
+/// picker is a stride: each op scans the shards from its handle's
+/// cursor and, on success, sets the cursor to the shard that took it
+/// plus the stride. Both pickers preserve per-shard FIFO and keep
+/// every op wait-free over a wait-free backend; see wcq/sharded.hpp.
 enum class shard_policy : unsigned char {
-  round_robin,  ///< per-handle cursor, one step per op (default)
-  sticky,       ///< producer/consumer shard affinity, rebalance on
-                ///< full (push) or empty (pop)
-  load_aware,   ///< two-choice by approximate shard occupancy
-  sequenced,    ///< global ticket order under a picker lock (tests)
+  round_robin,  ///< stride 1: successive ops visit the shards in turn;
+                ///< exact FIFO for a single handle (default)
+  sticky,       ///< stride 0: stay on a home shard, move on full
+                ///< (push) or empty (pop)
 };
 
 /// Fluent configuration builder shared by every queue backend.

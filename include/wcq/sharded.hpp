@@ -15,38 +15,39 @@
 /// Precisely: values a single handle pushes into the same shard are
 /// dequeued from that shard in push order, but two values a producer
 /// spreads over different shards may be observed by a consumer in
-/// either order. Workloads needing a global order have two options:
-/// one shard (`options::shards(1)` — the plain queue), or
-/// `shard_policy::sequenced`, which serializes shard selection behind
-/// a ticket lock to restore exact global FIFO — a test/debug mode,
-/// deliberately not wait-free and not fast.
+/// either order. A workload that needs a global order uses one shard
+/// (`options::shards(1)` — the plain queue). Under the default picker
+/// a single handle that both pushes and pops still sees exact FIFO.
 ///
 /// ## Pickers (`options::shard_policy`)
 ///
-///  - `round_robin` (default): a per-handle cursor, advanced on every
-///    successful op. Push and pop cursors of one handle start aligned,
-///    so a single-threaded user still observes exact FIFO. On refusal
-///    (shard full/empty) the op scans the remaining shards before
-///    giving up, leaving the cursor untouched so the alignment
-///    survives full/empty episodes.
-///  - `sticky`: the handle has a home shard (its id modulo shards) per
-///    direction and stays there — the zero-interference layout when
-///    threads <= shards — rebalancing only when the home refuses:
-///    push moves home on full, pop moves home on empty.
-///  - `load_aware`: two-choice sampling over the layer's per-shard
-///    occupancy estimates (push-successes minus pop-successes,
-///    relaxed): push targets the emptier of two sampled shards, pop
-///    the fuller. Falls back to a scan when the chosen shard refuses.
-///  - `sequenced`: see above.
+/// A picker is a stride, not a code path. Every op scans the shards
+/// `(cur + k) & mask` for k = 0..shards-1 from its handle's cursor
+/// (one per direction) and stops at the first shard `s` that takes
+/// it, moving the cursor to `s + stride`. A scan that fails on every
+/// shard leaves the cursor alone. One op is therefore at most
+/// `shards` backend ops, so the layer is wait-free over a wait-free
+/// backend.
+///
+///  - `round_robin` (default), stride 1: successive ops of a handle
+///    visit the shards in turn. Push and pop cursors start aligned
+///    and move in step, so a single-threaded user observes exact
+///    FIFO, and a full/empty episode cannot misalign them.
+///  - `sticky`, stride 0: the cursor is the handle's home shard
+///    (initially its registration number modulo shards) and stays
+///    there — the zero-interference layout when threads <= shards.
+///    It moves only when the home refuses: push moves home on full,
+///    pop moves home on empty.
 ///
 /// ## Batch API
 ///
 /// `try_push_n`/`try_pop_n` amortize one shard selection (and, on
 /// backends with a native burst — FaaQueue claims a run of tickets
 /// with a single FAA — one ticket acquisition) over up to
-/// `options::batch_limit` values per chunk. Values are encoded
-/// through `slot_codec<T>`, so boxed payloads batch exactly like
-/// inline ones.
+/// `options::batch_limit` values per chunk: a chunk targets the
+/// cursor's shard and advances the cursor by the stride. Values are
+/// encoded through `slot_codec<T>`, so boxed payloads batch exactly
+/// like inline ones.
 ///
 /// ## Capacity
 ///
@@ -69,7 +70,6 @@
 #include <utility>
 
 #include "wcq/concepts.hpp"
-#include "wcq/detail.hpp"
 #include "wcq/mem.hpp"
 #include "wcq/options.hpp"
 #include "wcq/queue.hpp"
@@ -84,6 +84,7 @@ class sharded {
   static_assert(concepts::Backend<Backend>,
                 "Backend must satisfy wcq::concepts::Backend "
                 "(options ctor + Handle + try_push/try_pop over slots)");
+  using BackendHandle = typename Backend::Handle;
 
  public:
   using value_type = T;
@@ -95,7 +96,7 @@ class sharded {
   explicit sharded(const options& opt = options{})
       : nshards_(resolve_shards(opt.shards())),
         mask_(nshards_ - 1),
-        policy_(opt.shard_policy()),
+        stride_(opt.shard_policy() == shard_policy::sticky ? 0u : 1u),
         batch_limit_(opt.batch_limit()) {
     if (batch_limit_ == 0) {
       throw std::invalid_argument("sharded: batch_limit must be >= 1");
@@ -120,9 +121,6 @@ class sharded {
       mem::free(shards_, nshards_ * sizeof(Backend));
       throw;
     }
-    loads_ = static_cast<ShardLoad*>(
-        mem::alloc(nshards_ * sizeof(ShardLoad), alignof(ShardLoad)));
-    for (unsigned s = 0; s < nshards_; ++s) new (&loads_[s]) ShardLoad();
   }
 
   ~sharded() {
@@ -137,8 +135,6 @@ class sharded {
         }
       }
     }
-    for (unsigned s = 0; s < nshards_; ++s) loads_[s].~ShardLoad();
-    mem::free(loads_, nshards_ * sizeof(ShardLoad), alignof(ShardLoad));
     for (unsigned s = 0; s < nshards_; ++s) shards_[s].~Backend();
     mem::free(shards_, nshards_ * sizeof(Backend));
   }
@@ -157,10 +153,8 @@ class sharded {
         : q_(std::exchange(o.q_, nullptr)),
           subs_(o.subs_),
           scratch_(o.scratch_),
-          id_(o.id_),
           push_cur_(o.push_cur_),
-          pop_cur_(o.pop_cur_),
-          rng_(o.rng_) {}
+          pop_cur_(o.pop_cur_) {}
 
     handle& operator=(handle&& o) noexcept {
       if (this != &o) {
@@ -168,10 +162,8 @@ class sharded {
         q_ = std::exchange(o.q_, nullptr);
         subs_ = o.subs_;
         scratch_ = o.scratch_;
-        id_ = o.id_;
         push_cur_ = o.push_cur_;
         pop_cur_ = o.pop_cur_;
-        rng_ = o.rng_;
       }
       return *this;
     }
@@ -183,17 +175,14 @@ class sharded {
 
    private:
     friend class sharded;
-    using BackendHandle = typename Backend::Handle;
 
     handle(sharded* q, BackendHandle* subs, std::uint64_t* scratch,
-           unsigned id)
+           unsigned home)
         : q_(q),
           subs_(subs),
           scratch_(scratch),
-          id_(id),
-          push_cur_(id),
-          pop_cur_(id),
-          rng_(std::uint64_t{id} * 0x9e3779b97f4a7c15ull + 1) {}
+          push_cur_(home),
+          pop_cur_(home) {}
 
     void release() {
       if (q_ != nullptr) {
@@ -207,17 +196,15 @@ class sharded {
     sharded* q_ = nullptr;
     BackendHandle* subs_ = nullptr;
     std::uint64_t* scratch_ = nullptr;  // batch_limit slots
-    unsigned id_ = 0;
-    // round_robin cursor / sticky home, one per direction. Masked at
-    // use; push and pop start aligned for single-handle FIFO.
+    // Scan cursor per direction, masked at use. Both start at the
+    // handle's home so push and pop are aligned for single-handle FIFO.
     unsigned push_cur_ = 0;
     unsigned pop_cur_ = 0;
-    std::uint64_t rng_ = 0;  // splitmix64 state (load_aware sampling)
   };
 
   /// nullopt iff some shard has all max_threads handle slots live.
   std::optional<handle> try_get_handle() {
-    using BH = typename Backend::Handle;
+    using BH = BackendHandle;
     BH* subs = static_cast<BH*>(mem::alloc(nshards_ * sizeof(BH)));
     unsigned made = 0;
     for (; made < nshards_; ++made) {
@@ -250,8 +237,8 @@ class sharded {
   /// False iff no shard accepts (all full, or the backend reserves
   /// the value's bit pattern — see queue.hpp's sentinel caveat).
   bool try_push(T v, handle& h) {
-    const std::uint64_t slot = codec::encode(std::move(v));
-    if (push_slot(slot, h)) return true;
+    std::uint64_t slot = codec::encode(std::move(v));
+    if (scan<Push>(slot, h)) return true;
     codec::drop(slot);
     return false;
   }
@@ -259,7 +246,7 @@ class sharded {
   /// nullopt iff every shard reports empty.
   std::optional<T> try_pop(handle& h) {
     std::uint64_t slot = 0;
-    if (!pop_slot(&slot, h)) return std::nullopt;
+    if (!scan<Pop>(slot, h)) return std::nullopt;
     return codec::decode(slot);
   }
 
@@ -276,7 +263,7 @@ class sharded {
       for (std::size_t i = 0; i < chunk; ++i) {
         h.scratch_[i] = codec::encode(vs[pushed + i]);
       }
-      const std::size_t ok = push_slots(h.scratch_, chunk, h);
+      const std::size_t ok = run_slots<Push>(h.scratch_, chunk, h);
       for (std::size_t i = ok; i < chunk; ++i) codec::drop(h.scratch_[i]);
       pushed += ok;
       if (ok < chunk) break;
@@ -291,7 +278,7 @@ class sharded {
     std::size_t got = 0;
     while (got < n) {
       const std::size_t chunk = std::min<std::size_t>(batch_limit_, n - got);
-      const std::size_t ok = pop_slots(h.scratch_, chunk, h);
+      const std::size_t ok = run_slots<Pop>(h.scratch_, chunk, h);
       for (std::size_t i = 0; i < ok; ++i) {
         out[got + i] = codec::decode(h.scratch_[i]);
       }
@@ -306,13 +293,6 @@ class sharded {
   /// Direct access to one shard (tests and benches; not a stable API).
   Backend& shard(unsigned s) { return shards_[s]; }
 
-  /// Approximate occupancy of shard s: push successes minus pop
-  /// successes, relaxed counters — the load_aware picker's signal.
-  /// Transiently off by in-flight ops; exact once the queue is quiet.
-  std::int64_t shard_load(unsigned s) const {
-    return loads_[s].size.load(std::memory_order_relaxed);
-  }
-
   /// Total capacity (bounded backends): the sum over shards, which by
   /// construction is 2^order.
   auto capacity() const
@@ -320,28 +300,6 @@ class sharded {
   {
     decltype(shards_[0].capacity()) total = 0;
     for (unsigned s = 0; s < nshards_; ++s) total += shards_[s].capacity();
-    return total;
-  }
-
-  /// Backend op counters summed over shards (observable backends).
-  /// Named backend_stats, not stats: these count *backend* attempts —
-  /// one sharded op that scans k shards performs k backend ops — so
-  /// they are deliberately not drop-in comparable with a plain
-  /// queue's stats().
-  auto backend_stats() const
-    requires requires(const Backend& b) {
-      { b.stats().fast_enqueues } -> std::convertible_to<std::uint64_t>;
-    }
-  {
-    auto total = shards_[0].stats();
-    for (unsigned s = 1; s < nshards_; ++s) {
-      const auto st = shards_[s].stats();
-      total.fast_enqueues += st.fast_enqueues;
-      total.slow_enqueues += st.slow_enqueues;
-      total.fast_dequeues += st.fast_dequeues;
-      total.slow_dequeues += st.slow_dequeues;
-      total.helps += st.helps;
-    }
     return total;
   }
 
@@ -362,29 +320,34 @@ class sharded {
   }
 
  private:
-  struct alignas(detail::kNoFalseSharing) ShardLoad {
-    std::atomic<std::int64_t> size{0};
-  };
-
-  // Serializes one direction of the sequenced picker.
-  class PickerLock {
-   public:
-    explicit PickerLock(std::atomic<bool>& l) : l_(l) {
-      while (l_.exchange(true, std::memory_order_acquire)) {
-        detail::cpu_pause();
-      }
+  // What push and pop differ in: the handle's cursor and the backend
+  // calls, one slot or a run through the backend's native burst (FAA's
+  // single-FAA ticket run) when it has one. The scan and the chunking
+  // are shared.
+  struct Push {
+    static unsigned& cursor(handle& h) { return h.push_cur_; }
+    static bool one(Backend& b, std::uint64_t& slot, BackendHandle& bh) {
+      return b.try_push(slot, bh);
     }
-    ~PickerLock() { l_.store(false, std::memory_order_release); }
-    PickerLock(const PickerLock&) = delete;
-    PickerLock& operator=(const PickerLock&) = delete;
-
-   private:
-    std::atomic<bool>& l_;
+    template <typename B>  // declared only where B has the burst
+    static auto burst(B& b, std::uint64_t* slots, std::size_t n,
+                      BackendHandle& bh)
+        -> decltype(b.try_push_n(slots, n, bh)) {
+      return b.try_push_n(slots, n, bh);
+    }
   };
 
-  struct alignas(detail::kNoFalseSharing) SeqSide {
-    std::atomic<bool> lock{false};
-    std::uint64_t tick = 0;  // guarded by lock
+  struct Pop {
+    static unsigned& cursor(handle& h) { return h.pop_cur_; }
+    static bool one(Backend& b, std::uint64_t& slot, BackendHandle& bh) {
+      return b.try_pop(&slot, bh);
+    }
+    template <typename B>  // declared only where B has the burst
+    static auto burst(B& b, std::uint64_t* slots, std::size_t n,
+                      BackendHandle& bh)
+        -> decltype(b.try_pop_n(slots, n, bh)) {
+      return b.try_pop_n(slots, n, bh);
+    }
   };
 
   // 0 = auto: a power of two derived from the machine — one shard per
@@ -414,240 +377,48 @@ class sharded {
 
   static constexpr unsigned kMaxShards = 256;
 
-  unsigned sample(handle& h) const {
-    h.rng_ += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = h.rng_;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<unsigned>((z ^ (z >> 31))) & mask_;
-  }
-
-  bool push_at(unsigned s, std::uint64_t slot, handle& h) {
-    if (!shards_[s].try_push(slot, h.subs_[s])) return false;
-    loads_[s].size.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  bool pop_at(unsigned s, std::uint64_t* slot, handle& h) {
-    if (!shards_[s].try_pop(slot, h.subs_[s])) return false;
-    loads_[s].size.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  bool push_slot(std::uint64_t slot, handle& h) {
-    switch (policy_) {
-      case shard_policy::sequenced: {
-        // Strict ticket order: the op is bound to its shard; a full
-        // shard refuses rather than break the sequence. The ticket is
-        // only consumed on success, so push k and pop k always meet
-        // at the same shard.
-        PickerLock g(seq_push_.lock);
-        const unsigned s = static_cast<unsigned>(seq_push_.tick) & mask_;
-        if (!push_at(s, slot, h)) return false;
-        ++seq_push_.tick;
+  // The picker: try every shard once, starting at the cursor; the
+  // shard that takes the op moves the cursor to it plus the stride.
+  template <typename Dir>
+  bool scan(std::uint64_t& slot, handle& h) {
+    unsigned& cur = Dir::cursor(h);
+    for (unsigned k = 0; k < nshards_; ++k) {
+      const unsigned s = (cur + k) & mask_;
+      if (Dir::one(shards_[s], slot, h.subs_[s])) {
+        cur = s + stride_;
         return true;
       }
-      case shard_policy::sticky: {
-        const unsigned home = h.push_cur_ & mask_;
-        if (push_at(home, slot, h)) return true;
-        for (unsigned k = 1; k < nshards_; ++k) {
-          const unsigned s = (home + k) & mask_;
-          if (push_at(s, slot, h)) {
-            h.push_cur_ = s;  // rebalance-on-full: adopt the new home
-            return true;
-          }
-        }
-        return false;
-      }
-      case shard_policy::load_aware: {
-        const unsigned a = sample(h);
-        const unsigned b = sample(h);
-        const unsigned s = loads_[a].size.load(std::memory_order_relaxed) <=
-                                   loads_[b].size.load(std::memory_order_relaxed)
-                               ? a
-                               : b;
-        if (push_at(s, slot, h)) return true;
-        for (unsigned k = 1; k < nshards_; ++k) {
-          if (push_at((s + k) & mask_, slot, h)) return true;
-        }
-        return false;
-      }
-      case shard_policy::round_robin:
-      default: {
-        const unsigned c = h.push_cur_;
-        for (unsigned k = 0; k < nshards_; ++k) {
-          if (push_at((c + k) & mask_, slot, h)) {
-            // Advance past the accepting shard; a fully-failed scan
-            // leaves the cursor (and the push/pop alignment) alone.
-            h.push_cur_ = c + k + 1;
-            return true;
-          }
-        }
-        return false;
-      }
     }
+    return false;
   }
 
-  bool pop_slot(std::uint64_t* slot, handle& h) {
-    switch (policy_) {
-      case shard_policy::sequenced: {
-        PickerLock g(seq_pop_.lock);
-        const unsigned s = static_cast<unsigned>(seq_pop_.tick) & mask_;
-        if (!pop_at(s, slot, h)) return false;
-        ++seq_pop_.tick;
-        return true;
-      }
-      case shard_policy::sticky: {
-        const unsigned home = h.pop_cur_ & mask_;
-        if (pop_at(home, slot, h)) return true;
-        for (unsigned k = 1; k < nshards_; ++k) {
-          const unsigned s = (home + k) & mask_;
-          if (pop_at(s, slot, h)) {
-            h.pop_cur_ = s;  // rebalance-on-empty
-            return true;
-          }
-        }
-        return false;
-      }
-      case shard_policy::load_aware: {
-        const unsigned a = sample(h);
-        const unsigned b = sample(h);
-        const unsigned s = loads_[a].size.load(std::memory_order_relaxed) >=
-                                   loads_[b].size.load(std::memory_order_relaxed)
-                               ? a
-                               : b;
-        if (pop_at(s, slot, h)) return true;
-        for (unsigned k = 1; k < nshards_; ++k) {
-          if (pop_at((s + k) & mask_, slot, h)) return true;
-        }
-        return false;
-      }
-      case shard_policy::round_robin:
-      default: {
-        const unsigned c = h.pop_cur_;
-        for (unsigned k = 0; k < nshards_; ++k) {
-          if (pop_at((c + k) & mask_, slot, h)) {
-            h.pop_cur_ = c + k + 1;
-            return true;
-          }
-        }
-        return false;
-      }
-    }
-  }
-
-  // The shard a batch chunk should target, advancing picker state
-  // once per CHUNK (that is the amortization): rr steps its cursor,
-  // sticky stays home, load_aware re-samples.
-  unsigned pick_push_shard(handle& h) {
-    switch (policy_) {
-      case shard_policy::sticky:
-        return h.push_cur_ & mask_;
-      case shard_policy::load_aware: {
-        const unsigned a = sample(h);
-        const unsigned b = sample(h);
-        return loads_[a].size.load(std::memory_order_relaxed) <=
-                       loads_[b].size.load(std::memory_order_relaxed)
-                   ? a
-                   : b;
-      }
-      default:
-        return (h.push_cur_++) & mask_;
-    }
-  }
-
-  unsigned pick_pop_shard(handle& h) {
-    switch (policy_) {
-      case shard_policy::sticky:
-        return h.pop_cur_ & mask_;
-      case shard_policy::load_aware: {
-        const unsigned a = sample(h);
-        const unsigned b = sample(h);
-        return loads_[a].size.load(std::memory_order_relaxed) >=
-                       loads_[b].size.load(std::memory_order_relaxed)
-                   ? a
-                   : b;
-      }
-      default:
-        return (h.pop_cur_++) & mask_;
-    }
-  }
-
-  // Push a run of encoded slots into shard s; native backend burst
-  // when it exists, else a loop (same semantics, no ticket
-  // amortization). Returns slots accepted.
-  std::size_t shard_push_n(unsigned s, const std::uint64_t* slots,
-                           std::size_t n, handle& h) {
-    std::size_t ok = 0;
-    if constexpr (requires {
-                    {
-                      shards_[s].try_push_n(slots, n, h.subs_[s])
-                    } -> std::same_as<std::size_t>;
-                  }) {
-      ok = shards_[s].try_push_n(slots, n, h.subs_[s]);
+  // Up to n slots through shard s alone; returns how many it took.
+  template <typename Dir>
+  std::size_t shard_run(unsigned s, std::uint64_t* slots, std::size_t n,
+                        handle& h) {
+    if constexpr (requires { Dir::burst(shards_[s], slots, n, h.subs_[s]); }) {
+      return Dir::burst(shards_[s], slots, n, h.subs_[s]);
     } else {
-      while (ok < n && shards_[s].try_push(slots[ok], h.subs_[s])) ++ok;
+      std::size_t ok = 0;
+      while (ok < n && Dir::one(shards_[s], slots[ok], h.subs_[s])) ++ok;
+      return ok;
     }
-    if (ok > 0) {
-      loads_[s].size.fetch_add(static_cast<std::int64_t>(ok),
-                               std::memory_order_relaxed);
-    }
-    return ok;
   }
 
-  std::size_t shard_pop_n(unsigned s, std::uint64_t* slots, std::size_t n,
-                          handle& h) {
-    std::size_t ok = 0;
-    if constexpr (requires {
-                    {
-                      shards_[s].try_pop_n(slots, n, h.subs_[s])
-                    } -> std::same_as<std::size_t>;
-                  }) {
-      ok = shards_[s].try_pop_n(slots, n, h.subs_[s]);
-    } else {
-      while (ok < n && shards_[s].try_pop(&slots[ok], h.subs_[s])) ++ok;
-    }
-    if (ok > 0) {
-      loads_[s].size.fetch_sub(static_cast<std::int64_t>(ok),
-                               std::memory_order_relaxed);
-    }
-    return ok;
-  }
-
-  // Slot-level batch push: one shard pick per chunk; when the picked
-  // shard refuses mid-chunk, the refused slot is routed through the
-  // scanning single-slot path (which also rebalances sticky homes),
-  // and the remainder re-picks. Stops only on a global refusal.
-  std::size_t push_slots(const std::uint64_t* slots, std::size_t n,
-                         handle& h) {
-    if (policy_ == shard_policy::sequenced) {
-      std::size_t done = 0;
-      while (done < n && push_slot(slots[done], h)) ++done;
-      return done;
-    }
+  // Batch of encoded slots: one shard pick per chunk (the cursor's
+  // shard, cursor += stride); when the picked shard refuses mid-chunk,
+  // the refused slot goes through the scan, which moves the cursor the
+  // way a single op would, and the remainder re-picks. Stops only on a
+  // global refusal. Returns slots done.
+  template <typename Dir>
+  std::size_t run_slots(std::uint64_t* slots, std::size_t n, handle& h) {
+    unsigned& cur = Dir::cursor(h);
     std::size_t done = 0;
     while (done < n) {
-      const unsigned s = pick_push_shard(h);
-      done += shard_push_n(s, slots + done, n - done, h);
-      if (done == n) break;
-      if (!push_slot(slots[done], h)) break;
-      ++done;
-    }
-    return done;
-  }
-
-  std::size_t pop_slots(std::uint64_t* slots, std::size_t n, handle& h) {
-    if (policy_ == shard_policy::sequenced) {
-      std::size_t done = 0;
-      while (done < n && pop_slot(&slots[done], h)) ++done;
-      return done;
-    }
-    std::size_t done = 0;
-    while (done < n) {
-      const unsigned s = pick_pop_shard(h);
-      done += shard_pop_n(s, slots + done, n - done, h);
-      if (done == n) break;
-      if (!pop_slot(&slots[done], h)) break;
+      const unsigned s = cur & mask_;
+      cur = s + stride_;
+      done += shard_run<Dir>(s, slots + done, n - done, h);
+      if (done == n || !scan<Dir>(slots[done], h)) break;
       ++done;
     }
     return done;
@@ -655,13 +426,10 @@ class sharded {
 
   const unsigned nshards_;
   const unsigned mask_;
-  const shard_policy policy_;
+  const unsigned stride_;  // round_robin 1, sticky 0
   const unsigned batch_limit_;
   Backend* shards_ = nullptr;
-  ShardLoad* loads_ = nullptr;
   std::atomic<unsigned> next_handle_{0};
-  SeqSide seq_push_;
-  SeqSide seq_pop_;
 };
 
 }  // namespace wcq

@@ -143,14 +143,18 @@ inline std::uint64_t now_ns() {
 // every op roughly doubles the cost of a ~40 ns queue op on the clock
 // calls alone, which would turn a throughput figure into a clock
 // benchmark; sampling keeps the perturbation under a few percent while
-// a 10M-op run still collects ~150k+ samples per series.
+// a 10M-op run still collects ~150k+ samples per series. Period 0
+// turns sampling off: the tick stays at 1 and never passes the mask.
 class OpSampler {
  public:
   explicit OpSampler(LatencyHistogram& hist, unsigned period = 64)
-      : hist_(hist), mask_(std::bit_ceil(period ? period : 1u) - 1) {}
+      : hist_(hist),
+        mask_(period != 0 ? std::bit_ceil(period) - 1 : ~0u),
+        step_(period != 0),
+        tick_(period == 0) {}
 
   // True when the upcoming op should be timed.
-  bool arm() { return (++tick_ & mask_) == 0; }
+  bool arm() { return ((tick_ += step_) & mask_) == 0; }
 
   void record_ns(std::uint64_t ns) { hist_.record(ns); }
 
@@ -159,7 +163,8 @@ class OpSampler {
  private:
   LatencyHistogram& hist_;
   unsigned mask_;
-  unsigned tick_ = 0;
+  unsigned step_;
+  unsigned tick_;
 };
 
 // Run `op` once, timing it iff the sampler elects this op.

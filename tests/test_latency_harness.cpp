@@ -117,6 +117,13 @@ void test_sampler() {
     if (s2.arm()) ++armed;
   }
   WCQ_CHECK(armed == 10, "period-5->8 sampler armed %u of 80", armed);
+  // Period 0 turns sampling off: nothing is ever timed.
+  harness::OpSampler off(h, 0);
+  armed = 0;
+  for (unsigned i = 0; i < 8 * 100; ++i) {
+    if (off.arm()) ++armed;
+  }
+  WCQ_CHECK(armed == 0, "period-0 sampler armed %u of 800", armed);
   std::printf("  ok sampler\n");
 }
 

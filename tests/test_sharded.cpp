@@ -1,10 +1,10 @@
 // wcq::sharded correctness: the queue-of-queues layer's own contract
-// (per-shard FIFO, relaxed cross-shard order), every picker policy,
-// the batch API's edge cases (partial fills, zero spans, boxed
-// payloads, sentinel refusal, chunking), constructor validation, and
-// handle churn over recycled sub-handle rows. The shared battery
-// (fifo/empty_full/mpmc/churn) also runs the sharded adapters; this
-// file covers what those generic checks cannot see.
+// (per-shard FIFO, relaxed cross-shard order), both pickers, the
+// batch API's edge cases (partial fills, zero spans, boxed payloads
+// and chunking under both pickers; sentinel refusal), constructor
+// validation, and handle churn over recycled sub-handle rows. The
+// shared battery (fifo/empty_full/mpmc/churn) also runs the sharded
+// adapters; this file covers what those generic checks cannot see.
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -25,25 +25,13 @@ using namespace wcq;
 constexpr shard_policy kAllPolicies[] = {
     shard_policy::round_robin,
     shard_policy::sticky,
-    shard_policy::load_aware,
-    shard_policy::sequenced,
 };
 
 const char* policy_name(shard_policy p) {
-  switch (p) {
-    case shard_policy::round_robin:
-      return "round_robin";
-    case shard_policy::sticky:
-      return "sticky";
-    case shard_policy::load_aware:
-      return "load_aware";
-    case shard_policy::sequenced:
-      return "sequenced";
-  }
-  return "?";
+  return p == shard_policy::sticky ? "sticky" : "round_robin";
 }
 
-// MPMC no-loss/no-duplication across shards, every policy. Producers
+// MPMC no-loss/no-duplication across shards, both pickers. Producers
 // tag values; consumers account for every one exactly once. Order is
 // deliberately unchecked — cross-shard order is relaxed by contract.
 void test_mpmc_all_policies() {
@@ -110,23 +98,27 @@ void test_per_shard_fifo_sticky() {
     WCQ_CHECK(q.try_push(i, h), "sticky push %llu refused",
               (unsigned long long)i);
   }
-  // Exactly one shard is non-empty, and it holds everything.
+  // Exactly one shard is non-empty, and its head is the first value:
+  // a backend pop on every other shard reports empty.
   unsigned loaded = 0;
   for (unsigned s = 0; s < q.shard_count(); ++s) {
-    if (q.shard_load(s) != 0) {
+    auto bh = q.shard(s).get_handle();
+    std::uint64_t head = 0;
+    if (q.shard(s).try_pop(&head, bh)) {
       ++loaded;
-      WCQ_CHECK(q.shard_load(s) == static_cast<std::int64_t>(n),
-                "sticky scattered: shard %u holds %lld of %llu", s,
-                (long long)q.shard_load(s), (unsigned long long)n);
+      WCQ_CHECK(head == 0, "sticky home head is %llu, not 0",
+                (unsigned long long)head);
     }
   }
   WCQ_CHECK(loaded == 1, "sticky touched %u shards", loaded);
-  // Same handle, aligned home: exact FIFO back out.
-  for (std::uint64_t i = 0; i < n; ++i) {
+  // Same handle, aligned home: the rest comes back in exact FIFO, and
+  // nothing else is left anywhere — the home held all n values.
+  for (std::uint64_t i = 1; i < n; ++i) {
     const auto v = q.try_pop(h);
     WCQ_CHECK(v && *v == i, "sticky FIFO broken at %llu",
               (unsigned long long)i);
   }
+  WCQ_CHECK(!q.try_pop(h), "sticky scattered values past the home shard");
   std::printf("  ok sharded_fifo      sticky per-shard order\n");
 }
 
@@ -145,10 +137,12 @@ void test_sticky_rebalance() {
               (unsigned long long)i);
   }
   WCQ_CHECK(!q.try_push(999, h), "push past total capacity succeeded");
-  unsigned non_empty = 0;
-  for (unsigned s = 0; s < 4; ++s) non_empty += q.shard_load(s) != 0;
-  WCQ_CHECK(non_empty == 4, "rebalance-on-full reached %u of 4 shards",
-            non_empty);
+  // 64 values in 4 x 16 slots: every shard is full on its own.
+  for (unsigned s = 0; s < 4; ++s) {
+    auto bh = q.shard(s).get_handle();
+    WCQ_CHECK(!q.shard(s).try_push(999, bh),
+              "rebalance-on-full left shard %u with room", s);
+  }
 
   // A second handle (different home) drains everything: rebalance-on-
   // empty walks it across all shards.
@@ -159,33 +153,11 @@ void test_sticky_rebalance() {
   std::printf("  ok sharded_rebalance sticky full/empty\n");
 }
 
-// Sequenced policy restores exact global FIFO even though values
-// spread across shards: push k and pop k meet at the same shard
-// because tickets are only consumed on success.
-void test_sequenced_global_fifo() {
-  sharded<std::uint64_t> q(
-      options{}.order(10).shards(4).shard_policy(shard_policy::sequenced));
-  auto h = q.get_handle();
-  const std::uint64_t n = 700;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    WCQ_CHECK(q.try_push(i, h), "sequenced push refused");
-  }
-  // All four shards hold a slice — this is not one-shard FIFO.
-  for (unsigned s = 0; s < 4; ++s) {
-    WCQ_CHECK(q.shard_load(s) > 0, "sequenced skipped shard %u", s);
-  }
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto v = q.try_pop(h);
-    WCQ_CHECK(v && *v == i, "sequenced global FIFO broken at %llu: got %llu",
-              (unsigned long long)i, (unsigned long long)(v ? *v : ~0ull));
-  }
-  std::printf("  ok sharded_sequenced global FIFO across shards\n");
-}
-
 // Batch edges: zero-size spans, spans above batch_limit (chunking),
 // partial acceptance at capacity, and partial pops at drain.
-void test_batch_edges() {
-  sharded<std::uint64_t> q(options{}.order(8).shards(4).batch_limit(16));
+void test_batch_edges(shard_policy pol) {
+  sharded<std::uint64_t> q(
+      options{}.order(8).shards(4).batch_limit(16).shard_policy(pol));
   auto h = q.get_handle();
 
   std::uint64_t none = 0;
@@ -218,14 +190,16 @@ void test_batch_edges() {
   got = 0;
   while (got < 256) got += q.try_pop_n(out.data(), 200, h);
   WCQ_CHECK(got == 256, "partial drain got %zu", got);
-  std::printf("  ok sharded_batch     edges (zero/chunk/partial)\n");
+  std::printf("  ok sharded_batch     edges (zero/chunk/partial) %s\n",
+              policy_name(pol));
 }
 
 // Boxed payloads batch exactly like inline ones: every value goes
 // through slot_codec's heap box, refused boxes are dropped (ASan
 // leak-checks this binary), and teardown drains live boxes.
-void test_batch_boxed() {
-  sharded<std::string> q(options{}.order(8).shards(2).batch_limit(8));
+void test_batch_boxed(shard_policy pol) {
+  sharded<std::string> q(
+      options{}.order(8).shards(2).batch_limit(8).shard_policy(pol));
   auto h = q.get_handle();
   std::vector<std::string> in, out(64);
   for (int i = 0; i < 64; ++i) in.push_back("value-" + std::to_string(i));
@@ -249,7 +223,8 @@ void test_batch_boxed() {
   const std::size_t ok = q.try_push_n(flood.data(), flood.size(), h);
   WCQ_CHECK(ok == 256, "boxed overfill accepted %zu", ok);
   // Leave the queue non-empty: the destructor must drop live boxes.
-  std::printf("  ok sharded_boxed     batch over slot_codec boxes\n");
+  std::printf("  ok sharded_boxed     batch over slot_codec boxes %s\n",
+              policy_name(pol));
 }
 
 // FAA reserves its top two slot patterns as EMPTY/TAKEN sentinels; an
@@ -370,9 +345,10 @@ int main() {
   test_mpmc_all_policies();
   test_per_shard_fifo_sticky();
   test_sticky_rebalance();
-  test_sequenced_global_fifo();
-  test_batch_edges();
-  test_batch_boxed();
+  for (const auto pol : kAllPolicies) {
+    test_batch_edges(pol);
+    test_batch_boxed(pol);
+  }
   test_batch_sentinel_refusal();
   test_validation_throws();
   test_handle_churn();
